@@ -79,11 +79,17 @@ impl CellCounts {
             .map_or(0.0, |e| e.0)
     }
 
-    /// Iterates the non-zero cells of a level (unspecified order).
+    /// Iterates the non-zero cells of a level in packed-key order. The
+    /// order is fixed so that float sums over it (part and level masses)
+    /// come out the same bit for bit on every call; hash-map order
+    /// differs between maps holding the same cells.
     pub fn cells_at(&self, level: i32) -> impl Iterator<Item = (&CellId, f64)> {
-        self.levels[(level + 1) as usize]
-            .values()
-            .map(|(m, c)| (c, *m))
+        let mut cells: Vec<(u128, &(f64, CellId))> = self.levels[(level + 1) as usize]
+            .iter()
+            .map(|(k, v)| (*k, v))
+            .collect();
+        cells.sort_unstable_by_key(|&(k, _)| k);
+        cells.into_iter().map(|(_, (m, c))| (c, *m))
     }
 
     /// Number of non-empty cells at a level.

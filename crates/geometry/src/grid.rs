@@ -110,23 +110,34 @@ impl CellId {
     /// format.
     #[doc(hidden)]
     pub fn pack(&self) -> Option<u128> {
-        let (width, offset): (u32, i64) = if self.level >= 0 {
-            ((self.level + 2) as u32, 0)
-        } else {
-            (1, 0)
-        };
-        let total = 6 + width as usize * self.coords.len();
-        if total > 128 {
+        debug_assert!({
+            let width = if self.level >= 0 { self.level + 2 } else { 1 };
+            self.coords
+                .iter()
+                .all(|&c| c >= 0 && (c as u128) < (1u128 << (width + 1)))
+        });
+        Self::pack_coords(self.level, &self.coords)
+    }
+
+    /// [`Self::pack`] over a bare level and coordinate slice: `None` when
+    /// the level is outside `[−1, 62]`, the packing is wider than 128
+    /// bits, or an index is out of range. Checkpoint restore packs
+    /// untrusted snapshot columns straight into table keys through this.
+    #[doc(hidden)]
+    pub fn pack_coords(level: i32, coords: &[i64]) -> Option<u128> {
+        if !(-1..=62).contains(&level) {
             return None;
         }
-        let mut key: u128 = (self.level + 1) as u128; // level ∈ [−1, L] → [0, L+1]
-        for &c in &self.coords {
-            let shifted = c + offset;
-            debug_assert!(shifted >= 0 && (shifted as u128) < (1u128 << (width + 1)));
-            if shifted < 0 || (shifted as u128) >= (1u128 << width) {
+        let width: u32 = if level >= 0 { (level + 2) as u32 } else { 1 };
+        if 6 + width as usize * coords.len() > 128 {
+            return None;
+        }
+        let mut key: u128 = (level + 1) as u128; // level ∈ [−1, L] → [0, L+1]
+        for &c in coords {
+            if c < 0 || (c as u128) >= (1u128 << width) {
                 return None; // out of the expected index range — refuse to truncate
             }
-            key = (key << width) | (shifted as u128);
+            key = (key << width) | (c as u128);
         }
         Some(key)
     }
@@ -135,21 +146,26 @@ impl CellId {
     /// Returns `None` for keys that are not valid packings (stray bits or
     /// mismatched embedded level).
     pub fn unpack(key: u128, level: i32, d: usize) -> Option<CellId> {
+        let mut coords = vec![0i64; d];
+        Self::unpack_coords_into(key, level, &mut coords).then_some(CellId { level, coords })
+    }
+
+    /// [`Self::unpack`] into a caller-owned slice whose length is `d`:
+    /// the snapshot writer unpacks keys straight into its coordinate
+    /// column. Returns `false` (leaving `out` unspecified) for keys that
+    /// are not valid packings.
+    pub fn unpack_coords_into(key: u128, level: i32, out: &mut [i64]) -> bool {
         let width: u32 = if level >= 0 { (level + 2) as u32 } else { 1 };
-        if 6 + width as usize * d > 128 {
-            return None;
+        if !(-1..=62).contains(&level) || 6 + width as usize * out.len() > 128 {
+            return false;
         }
         let mask = (1u128 << width) - 1;
         let mut k = key;
-        let mut coords = vec![0i64; d];
-        for slot in coords.iter_mut().rev() {
+        for slot in out.iter_mut().rev() {
             *slot = (k & mask) as i64;
             k >>= width;
         }
-        if k != (level + 1) as u128 {
-            return None; // embedded level must match
-        }
-        Some(CellId { level, coords })
+        k == (level + 1) as u128 // embedded level must match
     }
 
     /// A 128-bit key: injective packing when it fits, otherwise a mixing

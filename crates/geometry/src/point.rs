@@ -94,25 +94,9 @@ impl Point {
     /// Returns `None` when `d · bits > 128` (the regime where packing is
     /// unavailable and keys are mixing hashes). The sparse-recovery
     /// sketches use this to turn recovered keys back into points.
-    pub fn unpack(mut key: u128, delta: u64, d: usize) -> Option<Point> {
-        let bits = bits_for(delta);
-        if (bits as usize) * d > 128 {
-            return None;
-        }
-        let mask = if bits == 128 {
-            u128::MAX
-        } else {
-            (1u128 << bits) - 1
-        };
+    pub fn unpack(key: u128, delta: u64, d: usize) -> Option<Point> {
         let mut coords = vec![0u32; d];
-        for slot in coords.iter_mut().rev() {
-            *slot = (key & mask) as u32 + 1;
-            key >>= bits;
-        }
-        if key != 0 {
-            return None; // stray high bits: not a valid packed point
-        }
-        Some(Point { coords })
+        unpack_coords_into(key, delta, &mut coords).then_some(Point { coords })
     }
 
     /// A 128-bit key for hashing: the injective packing when it fits,
@@ -157,6 +141,46 @@ pub fn bits_for(delta: u64) -> u32 {
     debug_assert!(delta >= 1);
     let b = 64 - (delta - 1).leading_zeros();
     b.max(1)
+}
+
+/// [`Point::pack`] over a bare coordinate slice, validated: `None` when
+/// the slice is empty, a coordinate lies outside `[1, Δ]`, or
+/// `d · bits > 128`. Checkpoint restore packs untrusted snapshot
+/// columns straight into table keys through this.
+pub fn pack_coords(coords: &[u32], delta: u64) -> Option<u128> {
+    let bits = bits_for(delta);
+    if coords.is_empty() || (bits as usize) * coords.len() > 128 {
+        return None;
+    }
+    let mut key: u128 = 0;
+    for &c in coords {
+        if c == 0 || c as u64 > delta {
+            return None;
+        }
+        key = (key << bits) | ((c - 1) as u128);
+    }
+    Some(key)
+}
+
+/// [`Point::unpack`] into a caller-owned slice whose length is `d`: the
+/// snapshot writer unpacks keys straight into its coordinate column.
+/// Returns `false` (leaving `out` unspecified) when `d · bits > 128` or
+/// the key has stray high bits.
+pub fn unpack_coords_into(mut key: u128, delta: u64, out: &mut [u32]) -> bool {
+    let bits = bits_for(delta);
+    if (bits as usize) * out.len() > 128 {
+        return false;
+    }
+    let mask = if bits == 128 {
+        u128::MAX
+    } else {
+        (1u128 << bits) - 1
+    };
+    for slot in out.iter_mut().rev() {
+        *slot = (key & mask) as u32 + 1;
+        key >>= bits;
+    }
+    key == 0 // stray high bits: not a valid packed point
 }
 
 /// SplitMix64-style 128-bit mixing hash over a coordinate slice.

@@ -22,11 +22,20 @@
 //!
 //! Growth doubles `slots` when the *live* count crosses ⅞ occupancy;
 //! when live + tombstones cross the same bound first, the table is
-//! rebuilt at the same capacity to purge tombstones. Capacity therefore
-//! never depends on the interleaving of inserts and deletes, only on the
-//! peak live count — see [`slots_for`], which space accounting uses to
-//! report a deterministic capacity independent of transient physical
-//! states (e.g. a freshly restored checkpoint).
+//! rebuilt at the same capacity to purge tombstones.
+//!
+//! **Physical vs reported capacity.** A table is built with a size hint
+//! (`Storing` passes its cell budget α), but the hint allocates nothing:
+//! the slot array starts at [`MIN_CAP`] and grows by the ⅞ rule with the
+//! live count, so a store at a low load factor holds a small array
+//! rather than α-sized ones (a restore presizes to the snapshot's cell
+//! count via [`OpenTable::reserve`]). What space accounting reports is
+//! [`OpenTable::reported_capacity`], `slots_for(hint, peak)`: a pure
+//! function of the hint and the peak live count, never of the
+//! interleaving of inserts and deletes nor of transient physical states
+//! (e.g. a freshly restored checkpoint). Admission budgets and measured
+//! bytes derive from the reported figure, so right-sizing the physical
+//! array leaves them unchanged.
 
 /// Slot sentinel: never occupied.
 const EMPTY: u32 = u32::MAX;
@@ -72,8 +81,8 @@ pub struct OpenTable<V> {
     entries: Vec<(u64, V)>,
     /// Number of `TOMB` slots (deleted, not yet purged).
     tombs: usize,
-    /// The construction-time size hint, kept so growth and
-    /// [`Self::reported_capacity`] agree with [`slots_for`].
+    /// The construction-time size hint, kept so that
+    /// [`Self::reported_capacity`] agrees with [`slots_for`].
     expected: usize,
 }
 
@@ -84,15 +93,28 @@ impl<V> Default for OpenTable<V> {
 }
 
 impl<V> OpenTable<V> {
-    /// Creates a table pre-sized for about `expected` live entries.
+    /// Creates a table whose [`Self::reported_capacity`] covers about
+    /// `expected` live entries. Physically it starts at [`MIN_CAP`] slots
+    /// and grows with its live count (see the module docs).
     pub fn with_expected(expected: usize) -> Self {
         let _mem = sbc_obs::alloc::scope(sbc_obs::alloc::Component::Arena);
         Self {
-            slots: vec![EMPTY; slots_for(expected, 0)],
+            slots: vec![EMPTY; MIN_CAP],
             entries: Vec::new(),
             tombs: 0,
             expected,
         }
+    }
+
+    /// Makes room for `additional` more entries without a rebuild: grows
+    /// the slot array to the size that many live entries need and
+    /// reserves entry storage. Leaves [`Self::reported_capacity`] alone.
+    pub fn reserve(&mut self, additional: usize) {
+        let want = slots_for(0, self.entries.len() + additional);
+        if want > self.slots.len() {
+            self.rebuild(want);
+        }
+        self.entries.reserve(additional);
     }
 
     /// Number of live entries.
@@ -107,8 +129,8 @@ impl<V> OpenTable<V> {
         self.entries.is_empty()
     }
 
-    /// Physical slot count right now (may exceed the deterministic
-    /// [`Self::reported_capacity`] after merges; 0 after
+    /// Physical slot count right now: what the live count has needed so
+    /// far, not the deterministic [`Self::reported_capacity`] (0 after
     /// [`Self::clear_shrink`]).
     #[inline]
     pub fn physical_slots(&self) -> usize {
@@ -244,8 +266,7 @@ impl<V> OpenTable<V> {
     /// slot array at the current capacity (dropping all tombstones).
     pub fn retain<F: FnMut(u64, &mut V) -> bool>(&mut self, mut f: F) {
         self.entries.retain_mut(|(k, v)| f(*k, v));
-        let cap = self.slots.len().max(slots_for(self.expected, 0));
-        self.rebuild(cap);
+        self.rebuild(self.slots.len().max(MIN_CAP));
     }
 
     /// Drops all entries and releases the backing memory (the shape a
@@ -261,7 +282,7 @@ impl<V> OpenTable<V> {
     fn maintain_for_insert(&mut self) {
         let cap = self.slots.len();
         if cap == 0 {
-            self.rebuild(slots_for(self.expected, 0));
+            self.rebuild(MIN_CAP);
             return;
         }
         if over_load(self.entries.len() + self.tombs + 1, cap) {
@@ -365,9 +386,15 @@ mod tests {
     #[test]
     fn tombstone_churn_does_not_grow_capacity() {
         // Insert/delete cycling at a fixed live count must trigger purges,
-        // not growth: capacity stays the deterministic slots_for value.
-        let mut t: OpenTable<u8> = OpenTable::with_expected(16);
-        let want_cap = slots_for(16, 16);
+        // not growth: physical capacity is what the peak live count needs,
+        // slots_for(0, peak), whatever the size hint, and churn never
+        // grows it.
+        let mut t: OpenTable<u8> = OpenTable::with_expected(1024);
+        for k in 0..16u64 {
+            t.insert_absent(k, 0);
+        }
+        let want_cap = slots_for(0, 16);
+        assert_eq!(t.physical_slots(), want_cap);
         for round in 0..1000u64 {
             let k = round % 16;
             if t.get(k).is_some() {

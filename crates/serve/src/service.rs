@@ -552,14 +552,21 @@ impl CoresetService {
         else {
             unreachable!("checked evicted above");
         };
-        let container = match &spill {
-            Spill::Disk(path) => std::fs::read(path).map_err(|e| ApiError::EvictIo {
-                message: format!("{}: {e}", path.display()),
-            })?,
-            Spill::Memory(bytes) => bytes.clone(),
+        // An in-memory spill is decoded where it lies; only a disk spill
+        // is read into a buffer first.
+        let read;
+        let container: &[u8] = match &spill {
+            Spill::Disk(path) => {
+                read = std::fs::read(path).map_err(|e| ApiError::EvictIo {
+                    message: format!("{}: {e}", path.display()),
+                })?;
+                &read
+            }
+            Spill::Memory(bytes) => bytes,
         };
+        let container_len = container.len() as u64;
         let (stored_spec, blobs): (TenantSpec, Vec<Vec<u8>>) =
-            from_bytes(&container).ok_or_else(|| ApiError::EvictIo {
+            from_bytes(container).ok_or_else(|| ApiError::EvictIo {
                 message: format!("tenant {tenant}: undecodable spill container"),
             })?;
         debug_assert_eq!(stored_spec, spec, "spill container spec drifted");
@@ -573,7 +580,7 @@ impl CoresetService {
                     Slot::Evicted {
                         spec,
                         spill,
-                        bytes: container.len() as u64,
+                        bytes: container_len,
                         measured: measured_hint,
                     },
                 );
@@ -598,7 +605,7 @@ impl CoresetService {
         );
         self.evicted_tenants -= 1;
         self.live_tenants += 1;
-        self.spill_bytes -= container.len() as u64;
+        self.spill_bytes -= container_len;
         self.restores += 1;
         sbc_obs::counter!("serve.restores").incr();
         svc::observe_restore(rid);

@@ -16,7 +16,15 @@
 //! packed key at snapshot time), so encode → decode → encode is the
 //! identity on bytes.
 //!
-//! Only the exact store backend supports checkpointing; a ladder with
+//! In memory a store's cells are flat columns
+//! ([`crate::storing::CellColumns`]); on the wire they are the v3
+//! per-cell records, written from and read into the columns directly.
+//! The store decoder rejects shapes the columns cannot hold, and
+//! [`crate::storing::Storing::load_snapshot`] rejects cells and points
+//! that contradict the rebuilt ladder, both as
+//! [`CheckpointError::Malformed`].
+//!
+//! The exact and arena store backends checkpoint; a ladder with
 //! sketch-backed stores yields [`CheckpointError::UnsupportedBackend`].
 
 use sbc_core::{ConstantsProfile, CoresetParams};
@@ -26,7 +34,7 @@ use sbc_obs::{HistogramSnapshot, MetricsSnapshot};
 
 use crate::codec::{Decode, Encode};
 use crate::coreset_stream::StreamParams;
-use crate::storing::{CellSnapshot, StoreDeath, StoringSnapshot};
+use crate::storing::{CellColumns, StoreDeath, StoringSnapshot};
 
 /// File magic: identifies a byte buffer as an sbc checkpoint.
 pub const MAGIC: [u8; 8] = *b"SBCCKPT\0";
@@ -341,23 +349,27 @@ impl Decode for StoreDeath {
     }
 }
 
-impl Encode for CellSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cell.encode(buf);
-        self.count.encode(buf);
-        self.dirty.encode(buf);
-        self.points.encode(buf);
-    }
+// A store's cells go on the wire exactly as the v3 per-cell records
+// (level, coordinate vector, count, dirty flag, then a vector of
+// `(point coordinate vector, multiplicity)` pairs), written from and
+// read into the flat columns directly: no per-cell or per-point heap
+// objects in between.
+
+/// The next `n` bytes of `buf`, advancing `cursor`.
+fn take<'a>(buf: &'a [u8], cursor: &mut usize, n: usize) -> Option<&'a [u8]> {
+    let bytes = buf.get(*cursor..cursor.checked_add(n)?)?;
+    *cursor += n;
+    Some(bytes)
 }
-impl Decode for CellSnapshot {
-    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
-        Some(CellSnapshot {
-            cell: Decode::decode(buf, cursor)?,
-            count: i64::decode(buf, cursor)?,
-            dirty: bool::decode(buf, cursor)?,
-            points: Vec::decode(buf, cursor)?,
-        })
-    }
+
+/// Bytes one cell record takes besides its points.
+fn cell_record_bytes(dim: usize) -> usize {
+    4 + 8 + 8 * dim + 8 + 1 + 8
+}
+
+/// Bytes one point record takes.
+fn point_record_bytes(dim: usize) -> usize {
+    8 + 4 * dim + 8
 }
 
 impl Encode for StoringSnapshot {
@@ -366,17 +378,90 @@ impl Encode for StoringSnapshot {
         self.death.encode(buf);
         self.injected.encode(buf);
         self.peak_cells.encode(buf);
-        self.cells.encode(buf);
+        let cols = &self.cells;
+        let dim = cols.dim();
+        buf.reserve(
+            8 + cols.len() * cell_record_bytes(dim) + cols.num_points() * point_record_bytes(dim),
+        );
+        cols.len().encode(buf);
+        for cell in cols.iter() {
+            cell.level.encode(buf);
+            cell.coords.encode(buf);
+            cell.count.encode(buf);
+            cell.dirty.encode(buf);
+            cell.points().len().encode(buf);
+            for (coords, mult) in cell.points() {
+                coords.encode(buf);
+                mult.encode(buf);
+            }
+        }
     }
 }
 impl Decode for StoringSnapshot {
+    /// Rejects, besides truncation and bad tags, any shape the columns
+    /// cannot hold: a zero-dimension cell or point, cells or points of
+    /// differing dimension, and zero point coordinates. Lengths are
+    /// checked against the remaining bytes before anything is reserved.
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        let updates = u64::decode(buf, cursor)?;
+        let death = Option::decode(buf, cursor)?;
+        let injected = bool::decode(buf, cursor)?;
+        let peak_cells = u64::decode(buf, cursor)?;
+        let remaining = |cursor: usize| buf.len().saturating_sub(cursor);
+        let len = usize::decode(buf, cursor)?;
+        let mut cols = CellColumns::default();
+        let mut dim = 0usize;
+        for i in 0..len {
+            let level = i32::decode(buf, cursor)?;
+            let cell_dim = usize::decode(buf, cursor)?;
+            if i == 0 {
+                // The first record fixes the width; every record is at
+                // least one cell record of that width (12 bytes of
+                // this one are read already).
+                if cell_dim == 0 || cell_dim > remaining(*cursor) / 8 {
+                    return None;
+                }
+                if len.checked_mul(cell_record_bytes(cell_dim))? > remaining(*cursor) + 12 {
+                    return None;
+                }
+                dim = cell_dim;
+                cols = CellColumns::with_capacity(len, 0, dim);
+            } else if cell_dim != dim {
+                return None;
+            }
+            let raw = take(buf, cursor, 8 * dim)?;
+            let count = i64::decode(buf, cursor)?;
+            let dirty = bool::decode(buf, cursor)?;
+            let slot = cols.push_cell_with(level, count, dirty, dim);
+            for (c, b) in slot.iter_mut().zip(raw.chunks_exact(8)) {
+                *c = i64::from_le_bytes(b.try_into().ok()?);
+            }
+            let points = usize::decode(buf, cursor)?;
+            if points > remaining(*cursor) / point_record_bytes(dim) {
+                return None;
+            }
+            cols.reserve_points(points);
+            for _ in 0..points {
+                if usize::decode(buf, cursor)? != dim {
+                    return None;
+                }
+                let raw = take(buf, cursor, 4 * dim)?;
+                let mult = i64::decode(buf, cursor)?;
+                let slot = cols.push_point_with(mult, dim);
+                for (c, b) in slot.iter_mut().zip(raw.chunks_exact(4)) {
+                    *c = u32::from_le_bytes(b.try_into().ok()?);
+                    if *c == 0 {
+                        return None;
+                    }
+                }
+            }
+        }
         Some(StoringSnapshot {
-            updates: u64::decode(buf, cursor)?,
-            death: Option::decode(buf, cursor)?,
-            injected: bool::decode(buf, cursor)?,
-            peak_cells: u64::decode(buf, cursor)?,
-            cells: Vec::decode(buf, cursor)?,
+            updates,
+            death,
+            injected,
+            peak_cells,
+            cells: cols,
         })
     }
 }
@@ -527,6 +612,216 @@ mod tests {
         buf2.extend_from_slice(&MAGIC);
         VERSION.encode(&mut buf2);
         assert_eq!(Snapshot::from_bytes(&buf2), Err(CheckpointError::Malformed));
+    }
+
+    /// One cell record: level, index vector, point records.
+    type RawCell = (i32, Vec<i64>, Vec<(Vec<u32>, i64)>);
+
+    /// The v3 bytes of one live store holding `cells`, written record
+    /// by record with the generic codec (not through the columns).
+    fn raw_store(cells: &[RawCell]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        7u64.encode(&mut buf); // updates
+        None::<StoreDeath>.encode(&mut buf);
+        false.encode(&mut buf); // injected
+        (cells.len() as u64).encode(&mut buf); // peak cells
+        cells.len().encode(&mut buf);
+        for (level, coords, points) in cells {
+            level.encode(&mut buf);
+            coords.encode(&mut buf);
+            points.iter().map(|p| p.1).sum::<i64>().encode(&mut buf);
+            false.encode(&mut buf); // dirty
+            points.encode(&mut buf);
+        }
+        buf
+    }
+
+    fn decode_store(bytes: &[u8]) -> Option<StoringSnapshot> {
+        crate::codec::from_bytes(bytes)
+    }
+
+    /// A checkpoint of a small d = 2 builder (Δ = 64).
+    fn sample_snapshot() -> Snapshot {
+        use rand::SeedableRng;
+        let gp = GridParams::from_log_delta(6, 2);
+        let params = CoresetParams::builder(2, gp).build().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut b = crate::StreamCoresetBuilder::new(params, StreamParams::default(), &mut rng);
+        b.insert_batch(&sbc_geometry::dataset::gaussian_mixture(
+            gp, 300, 2, 0.05, 5,
+        ));
+        b.checkpoint().expect("checkpoints")
+    }
+
+    /// `snap`'s bytes with the first store (instance 0, role h, level −1)
+    /// replaced by `raw`.
+    fn with_raw_store(snap: &Snapshot, raw: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        VERSION.encode(&mut buf);
+        snap.params.encode(&mut buf);
+        snap.sparams.encode(&mut buf);
+        snap.shift.encode(&mut buf);
+        snap.h_coeffs.encode(&mut buf);
+        snap.hp_coeffs.encode(&mut buf);
+        snap.hhat_coeffs.encode(&mut buf);
+        snap.net_count.encode(&mut buf);
+        snap.ops_seen.encode(&mut buf);
+        snap.merge_depth.encode(&mut buf);
+        snap.rng_state.encode(&mut buf);
+        snap.instances.len().encode(&mut buf);
+        let first = &snap.instances[0];
+        first.h.len().encode(&mut buf);
+        buf.extend_from_slice(raw);
+        for st in &first.h[1..] {
+            st.encode(&mut buf);
+        }
+        first.hp.encode(&mut buf);
+        first.hhat.encode(&mut buf);
+        for inst in &snap.instances[1..] {
+            inst.encode(&mut buf);
+        }
+        snap.metrics.encode(&mut buf);
+        buf
+    }
+
+    /// Decodes and restores `bytes`, folding both failure points into one.
+    fn restore_bytes(bytes: &[u8]) -> Result<(), CheckpointError> {
+        let snap = Snapshot::from_bytes(bytes)?;
+        crate::StreamCoresetBuilder::restore(&snap).map(|_| ())
+    }
+
+    #[test]
+    fn columns_decode_the_record_bytes() {
+        let cells: Vec<RawCell> = vec![
+            (3, vec![1, 2], vec![(vec![9, 17], 1), (vec![10, 17], 2)]),
+            (3, vec![4, 0], vec![]),
+            (3, vec![5, 7], vec![(vec![40, 60], 3)]),
+        ];
+        let bytes = raw_store(&cells);
+        let snap = decode_store(&bytes).expect("decodes");
+        assert_eq!(crate::codec::to_bytes(&snap), bytes, "same bytes back");
+        assert_eq!((snap.cells.len(), snap.cells.dim()), (3, 2));
+        assert_eq!(snap.cells.num_points(), 3);
+        for (got, want) in snap.cells.iter().zip(&cells) {
+            assert_eq!((got.level, got.coords), (want.0, &want.1[..]));
+            let points: Vec<(Vec<u32>, i64)> = got.points().map(|(c, m)| (c.to_vec(), m)).collect();
+            assert_eq!(points, want.2);
+        }
+    }
+
+    #[test]
+    fn empty_store_round_trips_structurally() {
+        // An empty store has column width 0 however wide its grid is,
+        // so the decoded snapshot equals the encoded one.
+        let empty = StoringSnapshot::default();
+        let back = decode_store(&crate::codec::to_bytes(&empty)).expect("decodes");
+        assert_eq!(back, empty);
+        assert_eq!(back.cells.dim(), 0);
+    }
+
+    #[test]
+    fn hostile_store_shapes_are_rejected() {
+        let hostile: [(&str, Vec<RawCell>); 5] = [
+            (
+                "point wider than its cell",
+                vec![(3, vec![1, 2], vec![(vec![9, 17, 3], 1)])],
+            ),
+            (
+                "point narrower than its cell",
+                vec![(3, vec![1, 2], vec![(vec![9], 1)])],
+            ),
+            (
+                "zero-dimension point",
+                vec![(3, vec![1, 2], vec![(vec![], 1)])],
+            ),
+            ("zero-dimension cell", vec![(3, vec![], vec![])]),
+            (
+                "cells of different widths",
+                vec![(3, vec![1, 2], vec![]), (3, vec![1, 2, 3], vec![])],
+            ),
+        ];
+        let snap = sample_snapshot();
+        for (what, cells) in &hostile {
+            let raw = raw_store(cells);
+            assert_eq!(decode_store(&raw), None, "{what}");
+            assert_eq!(
+                Snapshot::from_bytes(&with_raw_store(&snap, &raw)),
+                Err(CheckpointError::Malformed),
+                "{what}"
+            );
+        }
+        let zero = raw_store(&[(3, vec![1, 2], vec![(vec![0, 17], 1)])]);
+        assert_eq!(decode_store(&zero), None, "zero point coordinate");
+    }
+
+    #[test]
+    fn hostile_lengths_fail_without_allocating() {
+        // Absurd cell and point counts are refused against the bytes
+        // left before anything is reserved (an allocation that size
+        // would abort the process).
+        let mut cells = raw_store(&[]);
+        let at = cells.len() - 8;
+        cells[at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert_eq!(decode_store(&cells), None);
+        let mut points = raw_store(&[(3, vec![1, 2], vec![])]);
+        let at = points.len() - 8;
+        points[at..].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert_eq!(decode_store(&points), None);
+        let mut dim = raw_store(&[(3, vec![1, 2], vec![])]);
+        let at = 8 + 1 + 1 + 8 + 8 + 4;
+        dim[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert_eq!(decode_store(&dim), None);
+        // Many cells of a wide first record: each count alone fits the
+        // buffer, their product (the coordinate column) does not.
+        let wide: Vec<RawCell> = (0..40).map(|_| (3, vec![1], vec![])).collect();
+        let mut wide = raw_store(&wide);
+        let at = 8 + 1 + 1 + 8 + 8 + 4;
+        wide[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
+        assert_eq!(decode_store(&wide), None);
+    }
+
+    #[test]
+    fn stores_contradicting_the_ladder_are_malformed() {
+        let snap = sample_snapshot();
+        // The splice itself is faithful.
+        let own = crate::codec::to_bytes(&snap.instances[0].h[0]);
+        assert_eq!(with_raw_store(&snap, &own), snap.to_bytes());
+        assert_eq!(restore_bytes(&snap.to_bytes()), Ok(()));
+        // The first store summarizes level −1: one bit per index.
+        let hostile: [(&str, Vec<RawCell>); 7] = [
+            ("cell of another level", vec![(3, vec![1, 1], vec![])]),
+            ("index that does not pack", vec![(-1, vec![5, 0], vec![])]),
+            ("negative index", vec![(-1, vec![-1, 0], vec![])]),
+            (
+                "point outside the cube",
+                vec![(-1, vec![0, 0], vec![(vec![65, 1], 1)])],
+            ),
+            (
+                "duplicate cell",
+                vec![(-1, vec![0, 0], vec![]), (-1, vec![0, 0], vec![])],
+            ),
+            (
+                "cells out of key order",
+                vec![(-1, vec![0, 1], vec![]), (-1, vec![0, 0], vec![])],
+            ),
+            (
+                "duplicate point",
+                vec![(-1, vec![0, 0], vec![(vec![3, 4], 1), (vec![3, 4], 1)])],
+            ),
+        ];
+        for (what, cells) in &hostile {
+            let bytes = with_raw_store(&snap, &raw_store(cells));
+            assert!(Snapshot::from_bytes(&bytes).is_ok(), "{what}: decodes");
+            assert_eq!(
+                restore_bytes(&bytes),
+                Err(CheckpointError::Malformed),
+                "{what}"
+            );
+        }
+        // A cell of the wrong width decodes but contradicts the grid.
+        let wide = with_raw_store(&snap, &raw_store(&[(-1, vec![0, 0, 0], vec![])]));
+        assert_eq!(restore_bytes(&wide), Err(CheckpointError::Malformed));
     }
 
     #[test]

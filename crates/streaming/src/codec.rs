@@ -25,6 +25,18 @@ use crate::coreset_stream::{InstanceSummary, RoleLevelSummary};
 pub trait Encode {
     /// Appends this value's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
+
+    /// Appends the encodings of `items` back to back (the body of a
+    /// vector, after its length). Types whose encoding is their memory
+    /// image override this with one copy; the bytes are the same.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
 }
 
 /// Types deserializable from the binary format.
@@ -32,6 +44,17 @@ pub trait Decode: Sized {
     /// Reads one value, advancing `cursor`. Returns `None` on malformed
     /// input (truncation, bad tags).
     fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self>;
+
+    /// Reads `len` values back to back (the body of a vector, after its
+    /// length), the inverse of [`Encode::encode_slice`]. `len` has
+    /// already been checked against the remaining bytes.
+    fn decode_vec(buf: &[u8], cursor: &mut usize, len: usize) -> Option<Vec<Self>> {
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(Self::decode(buf, cursor)?);
+        }
+        Some(out)
+    }
 }
 
 /// Encodes a value into a fresh buffer.
@@ -75,13 +98,35 @@ macro_rules! int_impl {
     };
 }
 
-int_impl!(u8);
 int_impl!(u16);
 int_impl!(u32);
 int_impl!(u64);
 int_impl!(u128);
 int_impl!(i32);
 int_impl!(i64);
+
+// Bytes encode as themselves, so byte vectors (spill containers,
+// checkpoint blobs) copy in and out in one piece.
+impl Encode for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    fn encode_slice(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+}
+impl Decode for u8 {
+    fn decode(buf: &[u8], cursor: &mut usize) -> Option<Self> {
+        let b = *buf.get(*cursor)?;
+        *cursor += 1;
+        Some(b)
+    }
+    fn decode_vec(buf: &[u8], cursor: &mut usize, len: usize) -> Option<Vec<Self>> {
+        let bytes = buf.get(*cursor..cursor.checked_add(len)?)?;
+        *cursor += len;
+        Some(bytes.to_vec())
+    }
+}
 
 impl Encode for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -135,12 +180,15 @@ impl Decode for String {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.len().encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
+    }
+}
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.as_slice().encode(buf);
     }
 }
 impl<T: Decode> Decode for Vec<T> {
@@ -151,11 +199,7 @@ impl<T: Decode> Decode for Vec<T> {
         if len > buf.len().saturating_sub(*cursor) {
             return None;
         }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(buf, cursor)?);
-        }
-        Some(out)
+        T::decode_vec(buf, cursor, len)
     }
 }
 
@@ -235,7 +279,7 @@ impl<T: Decode, E: Decode> Decode for Result<T, E> {
 
 impl Encode for Point {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.coords().to_vec().encode(buf);
+        self.coords().encode(buf);
     }
 }
 impl Decode for Point {

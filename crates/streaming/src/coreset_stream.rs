@@ -1482,17 +1482,11 @@ impl StreamCoresetBuilder {
                 .zip(&ck.h)
                 .chain(inst.hp_stores.iter_mut().zip(&ck.hp))
             {
-                if !st.load_snapshot(s) {
-                    return Err(CheckpointError::UnsupportedBackend);
-                }
+                st.load_snapshot(s)?;
             }
             for (slot, s) in inst.hhat_stores.iter_mut().zip(&ck.hhat) {
                 match (slot, s) {
-                    (Some(st), Some(s)) => {
-                        if !st.load_snapshot(s) {
-                            return Err(CheckpointError::UnsupportedBackend);
-                        }
-                    }
+                    (Some(st), Some(s)) => st.load_snapshot(s)?,
                     (None, None) => {}
                     _ => return Err(CheckpointError::Malformed),
                 }

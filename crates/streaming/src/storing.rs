@@ -23,6 +23,7 @@
 //!   substreams cheaply. Behaviourally faithful, measured (not bounded)
 //!   space; the default for large exact-validation runs.
 
+use crate::checkpoint::CheckpointError;
 use crate::sparse::SSparseRecovery;
 use rand::Rng;
 use sbc_geometry::{CellId, GridHierarchy, Point};
@@ -236,13 +237,14 @@ fn update_points_arena(rec: &mut ArenaRec, point_key: u128, delta: i64, beta: i6
     }
 }
 
-/// Checkpointable state of one exact-backend [`Storing`] instance —
-/// everything [`Storing::from_snapshot`] needs to resume bit-identically
-/// (the grid and sizing configuration are *not* included; they are
-/// structural and re-derived by the builder on restore). Cells and
-/// per-cell points are sorted by packed key, so encoding a snapshot is
-/// canonical: encode → decode → encode is the identity on bytes.
-#[derive(Clone, Debug, PartialEq)]
+/// Checkpointable state of one exact- or arena-backend [`Storing`]
+/// instance — everything [`Storing::load_snapshot`] needs to resume
+/// bit-identically (the grid and sizing configuration are *not*
+/// included; they are structural and re-derived by the builder on
+/// restore). Cells and per-cell points are sorted by packed key, so
+/// encoding a snapshot is canonical: encode → decode → encode is the
+/// identity on bytes.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StoringSnapshot {
     /// Updates absorbed so far (drives fault-injection indices).
     pub updates: u64,
@@ -253,20 +255,178 @@ pub struct StoringSnapshot {
     /// High-water mark of distinct non-empty cells.
     pub peak_cells: u64,
     /// Live cells, sorted by packed cell key.
-    pub cells: Vec<CellSnapshot>,
+    pub cells: CellColumns,
 }
 
-/// One cell's state inside a [`StoringSnapshot`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CellSnapshot {
-    /// The cell.
-    pub cell: CellId,
+/// The live cells of a [`StoringSnapshot`] as flat columns, so taking
+/// or loading a snapshot costs a handful of allocations per store
+/// rather than two per stored point:
+///
+/// * per cell: its level, `dim` coordinates, net count, dirty flag, and
+///   the end offset of its points in the point columns;
+/// * per point: `dim` coordinates and a multiplicity.
+///
+/// The column width `dim` is implied by the data (coordinates per
+/// cell), so an empty store has width 0 whatever its grid's dimension,
+/// and a decoded snapshot compares equal to the one that was encoded.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CellColumns {
+    levels: Vec<i32>,
+    coords: Vec<i64>,
+    counts: Vec<i64>,
+    dirty: Vec<bool>,
+    point_ends: Vec<usize>,
+    point_coords: Vec<u32>,
+    mults: Vec<i64>,
+}
+
+/// One cell of a [`CellColumns`], borrowed from its columns.
+#[derive(Clone, Copy, Debug)]
+pub struct CellRef<'a> {
+    /// Grid level.
+    pub level: i32,
+    /// Integer index vector.
+    pub coords: &'a [i64],
     /// Net point count.
     pub count: i64,
     /// Whether the point payload was evicted mid-stream.
     pub dirty: bool,
-    /// Point payload (with multiplicities), sorted by packed point key.
-    pub points: Vec<(Point, i64)>,
+    point_coords: &'a [u32],
+    mults: &'a [i64],
+}
+
+impl<'a> CellRef<'a> {
+    /// The cell's point payload in packed-key order: coordinates and
+    /// multiplicity.
+    pub fn points(&self) -> impl ExactSizeIterator<Item = (&'a [u32], i64)> + 'a {
+        let d = self.coords.len();
+        let coords = self.point_coords;
+        self.mults
+            .iter()
+            .enumerate()
+            .map(move |(i, &m)| (&coords[i * d..(i + 1) * d], m))
+    }
+}
+
+impl CellColumns {
+    /// Empty columns sized for `cells` cells and `points` points of
+    /// dimension `dim`.
+    pub(crate) fn with_capacity(cells: usize, points: usize, dim: usize) -> Self {
+        Self {
+            levels: Vec::with_capacity(cells),
+            coords: Vec::with_capacity(cells * dim),
+            counts: Vec::with_capacity(cells),
+            dirty: Vec::with_capacity(cells),
+            point_ends: Vec::with_capacity(cells),
+            point_coords: Vec::with_capacity(points * dim),
+            mults: Vec::with_capacity(points),
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Whether there are no cells.
+    pub fn is_empty(&self) -> bool {
+        self.levels.is_empty()
+    }
+
+    /// Coordinates per cell and per point (0 when there are no cells).
+    pub fn dim(&self) -> usize {
+        self.coords.len().checked_div(self.len()).unwrap_or(0)
+    }
+
+    /// Total points over all cells.
+    pub fn num_points(&self) -> usize {
+        self.mults.len()
+    }
+
+    /// The `i`-th cell.
+    pub fn cell(&self, i: usize) -> CellRef<'_> {
+        let d = self.dim();
+        let start = if i == 0 { 0 } else { self.point_ends[i - 1] };
+        let end = self.point_ends[i];
+        CellRef {
+            level: self.levels[i],
+            coords: &self.coords[i * d..(i + 1) * d],
+            count: self.counts[i],
+            dirty: self.dirty[i],
+            point_coords: &self.point_coords[start * d..end * d],
+            mults: &self.mults[start..end],
+        }
+    }
+
+    /// Iterates the cells in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = CellRef<'_>> {
+        (0..self.len()).map(|i| self.cell(i))
+    }
+
+    /// Appends a cell with no points; [`Self::push_point`] then adds
+    /// points to it. Every cell must have the same dimension.
+    pub(crate) fn push_cell(&mut self, level: i32, coords: &[i64], count: i64, dirty: bool) {
+        self.push_cell_with(level, count, dirty, coords.len())
+            .copy_from_slice(coords);
+    }
+
+    /// Appends a point to the last cell.
+    ///
+    /// # Panics
+    /// Panics if no cell has been pushed yet.
+    pub(crate) fn push_point(&mut self, coords: &[u32], mult: i64) {
+        self.push_point_with(mult, coords.len())
+            .copy_from_slice(coords);
+    }
+
+    /// Reserves room for `points` more points of the current width.
+    pub(crate) fn reserve_points(&mut self, points: usize) {
+        self.mults.reserve(points);
+        self.point_coords.reserve(points * self.dim());
+    }
+
+    /// [`Self::push_cell`] returning the new cell's zeroed coordinate
+    /// slot for the caller to fill in place.
+    pub(crate) fn push_cell_with(
+        &mut self,
+        level: i32,
+        count: i64,
+        dirty: bool,
+        dim: usize,
+    ) -> &mut [i64] {
+        debug_assert!(self.is_empty() || dim == self.dim(), "one width per store");
+        self.levels.push(level);
+        self.counts.push(count);
+        self.dirty.push(dirty);
+        self.point_ends.push(self.mults.len());
+        let start = self.coords.len();
+        self.coords.resize(start + dim, 0);
+        &mut self.coords[start..]
+    }
+
+    /// [`Self::push_point`] returning the new point's zeroed coordinate
+    /// slot for the caller to fill in place.
+    pub(crate) fn push_point_with(&mut self, mult: i64, dim: usize) -> &mut [u32] {
+        self.mults.push(mult);
+        *self
+            .point_ends
+            .last_mut()
+            .expect("a point belongs to a cell") = self.mults.len();
+        let start = self.point_coords.len();
+        self.point_coords.resize(start + dim, 0);
+        &mut self.point_coords[start..]
+    }
+}
+
+/// Requires snapshot keys strictly ascending, the order every snapshot
+/// writer emits, so a repeated or out-of-order cell or point is refused
+/// rather than loaded into a state no stream produces.
+fn ascending(last: &mut Option<u128>, key: u128) -> Result<(), CheckpointError> {
+    if last.is_some_and(|l| l >= key) {
+        return Err(CheckpointError::Malformed);
+    }
+    *last = Some(key);
+    Ok(())
 }
 
 /// One `Storing(Gᵢ, α, β, δ)` instance.
@@ -1072,75 +1232,65 @@ impl Storing {
     /// key so the encoding is canonical — both backends produce the
     /// *same* snapshot for the same logical state (the arena's packed
     /// keys unpack to the cells and points the exact backend stores
-    /// directly). Returns `None` for the sketch backend (not yet
-    /// checkpointable; the builder surfaces this as an
-    /// `UnsupportedBackend` checkpoint error).
+    /// directly). The arena backend unpacks keys straight into the
+    /// columns, sorting one reused scratch buffer per store. Returns
+    /// `None` for the sketch backend (not yet checkpointable; the
+    /// builder surfaces this as an `UnsupportedBackend` checkpoint
+    /// error).
     pub fn to_snapshot(&self) -> Option<StoringSnapshot> {
-        let cell_snaps = match &self.inner {
-            Inner::Exact { cells, .. } => {
-                let mut snaps: Vec<(u128, CellSnapshot)> = cells
-                    .iter()
-                    .map(|(key, rec)| {
-                        let mut points: Vec<(u128, (Point, i64))> =
-                            rec.points.iter().map(|(k, v)| (*k, v.clone())).collect();
-                        points.sort_unstable_by_key(|(k, _)| *k);
-                        (
-                            *key,
-                            CellSnapshot {
-                                cell: rec.cell.clone(),
-                                count: rec.count,
-                                dirty: rec.dirty,
-                                points: points.into_iter().map(|(_, pv)| pv).collect(),
-                            },
-                        )
-                    })
-                    .collect();
-                snaps.sort_unstable_by_key(|(k, _)| *k);
-                snaps
+        let (cells, peak_cells) = match &self.inner {
+            Inner::Exact {
+                cells, peak_cells, ..
+            } => {
+                let mut order: Vec<(u128, &CellRec)> = cells.iter().map(|(k, r)| (*k, r)).collect();
+                order.sort_unstable_by_key(|&(k, _)| k);
+                let points = order.iter().map(|(_, r)| r.points.len()).sum();
+                let dim = self.grid.params().d;
+                let mut cols = CellColumns::with_capacity(order.len(), points, dim);
+                let mut scratch: Vec<(u128, &(Point, i64))> = Vec::new();
+                for (_, rec) in order {
+                    cols.push_cell(rec.cell.level, &rec.cell.coords, rec.count, rec.dirty);
+                    scratch.clear();
+                    scratch.extend(rec.points.iter().map(|(k, v)| (*k, v)));
+                    scratch.sort_unstable_by_key(|&(k, _)| k);
+                    for (_, (p, m)) in &scratch {
+                        cols.push_point(p.coords(), *m);
+                    }
+                }
+                (cols, *peak_cells)
             }
-            Inner::Arena { table, .. } => {
+            Inner::Arena {
+                table, peak_cells, ..
+            } => {
                 let gp = self.grid.params();
-                let mut snaps: Vec<(u128, CellSnapshot)> = table
-                    .iter()
-                    .map(|(key, rec)| {
-                        let mut points: Vec<(u128, (Point, i64))> = rec
-                            .points
-                            .iter()
-                            .map(|&(pk, m)| {
-                                let p = Point::unpack(pk, gp.delta, gp.d)
-                                    .expect("arena point keys are valid packings");
-                                (pk, (p, m))
-                            })
-                            .collect();
-                        points.sort_unstable_by_key(|(k, _)| *k);
-                        let cell = CellId::unpack(key as u128, self.level, gp.d)
-                            .expect("arena cell keys are valid packings");
-                        (
-                            key as u128,
-                            CellSnapshot {
-                                cell,
-                                count: rec.count,
-                                dirty: rec.dirty,
-                                points: points.into_iter().map(|(_, pv)| pv).collect(),
-                            },
-                        )
-                    })
-                    .collect();
-                snaps.sort_unstable_by_key(|(k, _)| *k);
-                snaps
+                let mut order: Vec<(u64, &ArenaRec)> = table.iter().collect();
+                order.sort_unstable_by_key(|&(k, _)| k);
+                let points = order.iter().map(|(_, r)| r.points.len()).sum();
+                let mut cols = CellColumns::with_capacity(order.len(), points, gp.d);
+                let mut scratch: Vec<(u128, i64)> = Vec::new();
+                for (key, rec) in order {
+                    let slot = cols.push_cell_with(self.level, rec.count, rec.dirty, gp.d);
+                    let ok = CellId::unpack_coords_into(key as u128, self.level, slot);
+                    debug_assert!(ok, "arena cell keys are valid packings");
+                    scratch.clear();
+                    scratch.extend_from_slice(&rec.points);
+                    scratch.sort_unstable_by_key(|&(k, _)| k);
+                    for &(pk, m) in &scratch {
+                        let slot = cols.push_point_with(m, gp.d);
+                        let ok = sbc_geometry::point::unpack_coords_into(pk, gp.delta, slot);
+                        debug_assert!(ok, "arena point keys are valid packings");
+                    }
+                }
+                (cols, *peak_cells)
             }
             Inner::Sketch { .. } => return None,
-        };
-        let peak_cells = match &self.inner {
-            Inner::Exact { peak_cells, .. } | Inner::Arena { peak_cells, .. } => *peak_cells,
-            Inner::Sketch { .. } => unreachable!(),
         };
         Some(StoringSnapshot {
             updates: self.updates,
             death: self.death(),
             injected: self.injected.is_some(),
             peak_cells: peak_cells as u64,
-            cells: cell_snaps.into_iter().map(|(_, c)| c).collect(),
+            cells,
         })
     }
 
@@ -1148,11 +1298,38 @@ impl Storing {
     /// store must be freshly built with the same structural parameters
     /// (grid, level, config, backend) the snapshot was taken under —
     /// the builder guarantees this by reconstructing the ladder from the
-    /// checkpointed parameters before loading. Returns `false` (and
-    /// leaves the store untouched) on the sketch backend.
-    pub fn load_snapshot(&mut self, snap: &StoringSnapshot) -> bool {
-        let delta = self.grid.params().delta;
-        let alpha = self.cfg.alpha;
+    /// checkpointed parameters before loading. The arena backend packs
+    /// coordinate slices straight into table keys, into a table presized
+    /// to the snapshot's cell count.
+    ///
+    /// Leaves the store untouched and fails with
+    /// [`CheckpointError::UnsupportedBackend`] on the sketch backend, and
+    /// with [`CheckpointError::Malformed`] when the snapshot contradicts
+    /// the store: a column width other than the grid's dimension, a cell
+    /// of another level or with an index outside its level's range, a
+    /// point outside the cube, or cells or points out of key order
+    /// (which includes duplicates).
+    pub fn load_snapshot(&mut self, snap: &StoringSnapshot) -> Result<(), CheckpointError> {
+        let gp = self.grid.params();
+        let level = self.level;
+        let cols = &snap.cells;
+        if !cols.is_empty() && cols.dim() != gp.d {
+            return Err(CheckpointError::Malformed);
+        }
+        // Every index of a level-i cell lies in [0, 2^(i+2)) (the range
+        // the packing accepts; [0, 2) at level −1), and every point
+        // coordinate in [1, Δ].
+        let width = if level >= 0 { level + 2 } else { 1 };
+        let check_cell = |c: &CellRef<'_>| {
+            let cell_ok =
+                c.level == level && c.coords.iter().all(|&x| (0..1i64 << width).contains(&x));
+            let points_ok = c
+                .points()
+                .all(|(pc, _)| pc.iter().all(|&x| (1..=gp.delta).contains(&(x as u64))));
+            (cell_ok && points_ok)
+                .then_some(())
+                .ok_or(CheckpointError::Malformed)
+        };
         match &mut self.inner {
             Inner::Exact {
                 cells,
@@ -1160,22 +1337,35 @@ impl Storing {
                 peak_cells,
                 ..
             } => {
-                cells.clear();
-                for c in &snap.cells {
+                let mut fresh = Key128Map::default();
+                fresh.reserve(cols.len());
+                let mut last_cell = None;
+                for c in cols.iter() {
+                    check_cell(&c)?;
+                    let cell = CellId {
+                        level,
+                        coords: c.coords.to_vec(),
+                    };
+                    let key = cell.key128();
+                    ascending(&mut last_cell, key)?;
                     let mut points = Key128Map::default();
-                    for (p, m) in &c.points {
-                        points.insert(p.key128(delta), (p.clone(), *m));
+                    points.reserve(c.points().len());
+                    let mut last_point = None;
+                    for (pc, m) in c.points() {
+                        let p = Point::from_raw(pc.to_vec());
+                        let pk = p.key128(gp.delta);
+                        ascending(&mut last_point, pk)?;
+                        points.insert(pk, (p, m));
                     }
-                    cells.insert(
-                        c.cell.key128(),
-                        CellRec {
-                            count: c.count,
-                            dirty: c.dirty,
-                            cell: c.cell.clone(),
-                            points,
-                        },
-                    );
+                    let rec = CellRec {
+                        count: c.count,
+                        dirty: c.dirty,
+                        points,
+                        cell,
+                    };
+                    fresh.insert(key, rec);
                 }
+                *cells = fresh;
                 *dead = snap.death.is_some();
                 *peak_cells = snap.peak_cells as usize;
             }
@@ -1185,16 +1375,28 @@ impl Storing {
                 peak_cells,
                 ..
             } => {
-                *table = OpenTable::with_expected(alpha);
-                for c in &snap.cells {
-                    let key = c.cell.key128();
-                    debug_assert!(key <= u64::MAX as u128, "arena cell keys fit u64");
-                    let points: Vec<(u128, i64)> = c
-                        .points
-                        .iter()
-                        .map(|(p, m)| (p.key128(delta), *m))
-                        .collect();
-                    table.insert_absent(
+                let mut fresh = OpenTable::with_expected(self.cfg.alpha);
+                if snap.death.is_none() {
+                    fresh.reserve(cols.len());
+                }
+                let mut last_cell = None;
+                for c in cols.iter() {
+                    check_cell(&c)?;
+                    let key = CellId::pack_coords(level, c.coords)
+                        .filter(|&k| k <= u64::MAX as u128)
+                        .ok_or(CheckpointError::Malformed)?;
+                    ascending(&mut last_cell, key)?;
+                    let mut last_point = None;
+                    let points = c
+                        .points()
+                        .map(|(pc, m)| {
+                            let pk = sbc_geometry::point::pack_coords(pc, gp.delta)
+                                .ok_or(CheckpointError::Malformed)?;
+                            ascending(&mut last_point, pk)?;
+                            Ok((pk, m))
+                        })
+                        .collect::<Result<Vec<_>, _>>()?;
+                    fresh.insert_absent(
                         key as u64,
                         ArenaRec {
                             count: c.count,
@@ -1203,17 +1405,18 @@ impl Storing {
                         },
                     );
                 }
-                *dead = snap.death.is_some();
-                if *dead {
-                    table.clear_shrink();
+                if snap.death.is_some() {
+                    fresh.clear_shrink();
                 }
+                *table = fresh;
+                *dead = snap.death.is_some();
                 *peak_cells = snap.peak_cells as usize;
             }
-            Inner::Sketch { .. } => return false,
+            Inner::Sketch { .. } => return Err(CheckpointError::UnsupportedBackend),
         }
         self.updates = snap.updates;
         self.injected = if snap.injected { snap.death } else { None };
-        true
+        Ok(())
     }
 
     /// Folds another store's state into this one — the composability
@@ -1843,7 +2046,7 @@ mod tests {
             }
             let snap = a.to_snapshot().expect("snapshot");
             let mut b = mk(dst);
-            assert!(b.load_snapshot(&snap));
+            b.load_snapshot(&snap).expect("loads");
             for p in &pts[80..] {
                 a.update(p, 1);
                 b.update(p, 1);
