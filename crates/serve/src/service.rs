@@ -2,7 +2,8 @@
 //! eviction/restore, and the frame/envelope entry points.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -183,6 +184,20 @@ impl Backend {
 enum Spill {
     Disk(PathBuf),
     Memory(Vec<u8>),
+}
+
+/// Writes `bytes` to `path` so that a crash leaves either the previous
+/// file or the complete new one: the bytes go to `<path>.tmp`, are
+/// synced, and the temp file is renamed over `path`. A stale `.tmp`
+/// from an earlier crash is truncated and reused.
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Frozen outbound state of a tenant mid-migration: the snapshot split
@@ -498,7 +513,7 @@ impl CoresetService {
         let bytes = container.len() as u64;
         let spill = match self.spill_path(tenant) {
             Some(path) => {
-                std::fs::write(&path, &container).map_err(|e| ApiError::EvictIo {
+                write_atomically(&path, &container).map_err(|e| ApiError::EvictIo {
                     message: format!("{}: {e}", path.display()),
                 })?;
                 Spill::Disk(path)

@@ -25,6 +25,16 @@ fn client(config: ServeConfig) -> Client<InProcess> {
     c
 }
 
+/// Measured bytes of `spec`'s builder after inserting `pts`, on the
+/// kernel this process runs (`SBC_FORCE_SCALAR` included) — what the
+/// service charges a tenant fed the same points.
+fn measured_after(spec: &TenantSpec, pts: &[Point]) -> usize {
+    let (params, sparams) = tenant_pipeline(spec).unwrap();
+    let mut b = StreamCoresetBuilder::new(params, sparams, &mut StdRng::seed_from_u64(spec.seed));
+    b.insert_batch(pts);
+    b.space_report().measured_bytes
+}
+
 fn code(e: &SbcError) -> u16 {
     e.code()
 }
@@ -134,15 +144,14 @@ fn reject_policy_refuses_and_applies_nothing() {
 #[test]
 fn shed_policy_evicts_the_fattest_other_tenant() {
     let spec = TenantSpec::default();
-    // Budget fits one tenant but not two: measure one builder first.
-    let (params, sparams) = tenant_pipeline(&spec).unwrap();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let one = StreamCoresetBuilder::new(params, sparams, &mut rng)
-        .space_report()
-        .measured_bytes;
+    let spec2 = TenantSpec { seed: 2, ..spec };
+    // Budget fits tenant 1 as fed, but not tenant 1 plus a fresh
+    // tenant 2.
+    let fed = measured_after(&spec, &points(&spec, 32, 1));
+    let fresh = measured_after(&spec2, &[]);
 
     let mut c = client(ServeConfig {
-        budget_bytes: one + one / 2,
+        budget_bytes: fed + fresh / 2,
         policy: OverloadPolicy::Shed,
         ..ServeConfig::default()
     });
@@ -150,7 +159,7 @@ fn shed_policy_evicts_the_fattest_other_tenant() {
     c.insert(1, &points(&spec, 32, 1)).expect("feed 1");
     // The second open is admitted (the decision precedes the new
     // tenant's footprint), leaving the service over budget…
-    c.open(2, TenantSpec { seed: 2, ..spec }).expect("open 2");
+    c.open(2, spec2).expect("open 2");
     // …so tenant 2's first insert trips admission control, which sheds
     // the fattest *other* tenant — tenant 1 (fed, so strictly fatter) —
     // rather than refusing the requester.
@@ -227,25 +236,26 @@ fn restore_on_demand_respects_the_budget() {
     // disk and total measured bytes stay put, instead of every evicted
     // tenant's next request growing the service arbitrarily past budget.
     let spec = TenantSpec::default();
-    let (params, sparams) = tenant_pipeline(&spec).unwrap();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let one = StreamCoresetBuilder::new(params, sparams, &mut rng)
-        .space_report()
-        .measured_bytes;
+    let spec2 = TenantSpec { seed: 2, ..spec };
+    // Budget fits tenant 1 as fed, but not tenant 1 plus a fresh
+    // tenant 2.
+    let fed = measured_after(&spec, &points(&spec, 16, 1));
+    let fresh = measured_after(&spec2, &[]);
 
     let mut c = client(ServeConfig {
-        budget_bytes: one + one / 2,
+        budget_bytes: fed + fresh / 2,
         policy: OverloadPolicy::Reject,
         ..ServeConfig::default()
     });
     c.open(1, spec).expect("open 1");
     c.insert(1, &points(&spec, 16, 1)).expect("feed 1");
     c.evict(1).expect("evict 1");
-    c.open(2, TenantSpec { seed: 2, ..spec }).expect("open 2");
+    c.open(2, spec2).expect("open 2");
     let occupied = c.server_stats().expect("server stats").measured_bytes;
 
-    // Tenant 2 occupies ~`one` bytes; restoring tenant 1 (> `one`) would
-    // run past the 1.5×`one` budget. Every restore path must refuse.
+    // Tenant 2 occupies `fresh` bytes; restoring tenant 1 (`fed` bytes)
+    // next to it would run past the budget. Every restore path must
+    // refuse.
     let err = c.insert(1, &points(&spec, 4, 2)).expect_err("insert");
     assert_eq!(code(&err), 220);
     let err = c.query(1).expect_err("query must not restore past budget");
@@ -319,6 +329,52 @@ fn disk_spill_round_trips_and_close_cleans_up() {
     c.evict(9).expect("evict again");
     c.close(9).expect("close an evicted tenant");
     assert!(!spill.exists(), "close removed the spill file");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn spill_writes_are_atomic_and_survive_stale_temp_files() {
+    let dir = std::env::temp_dir().join(format!("sbc-serve-atomic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let mut c = client(ServeConfig {
+        spill_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let spec = TenantSpec {
+        seed: 5,
+        ..TenantSpec::default()
+    };
+    c.open(4, spec).expect("open");
+    c.insert(4, &points(&spec, 32, 9)).expect("insert");
+    let before = c.query(4).expect("query before evict");
+
+    // Evicting leaves only the final file: the temp file was renamed.
+    c.evict(4).expect("evict to disk");
+    assert_eq!(listing(), ["tenant-4.sbct"]);
+
+    // A crash mid-write of a later eviction leaves a torn temp file
+    // beside the good one; restore reads the good one.
+    let tmp = dir.join("tenant-4.sbct.tmp");
+    std::fs::write(&tmp, b"torn").unwrap();
+    let after = c.query(4).expect("restore ignores the stale temp file");
+    assert_eq!(before, after, "restore is bit-identical");
+
+    // The next eviction overwrites the stale temp file and renames it
+    // into place.
+    c.evict(4).expect("evict over a stale temp file");
+    assert_eq!(listing(), ["tenant-4.sbct"]);
+    let again = c.query(4).expect("restore after the second evict");
+    assert_eq!(before, again, "restore is bit-identical");
+
+    c.close(4).expect("close");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

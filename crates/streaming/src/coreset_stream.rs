@@ -37,6 +37,7 @@ use sbc_hash::KWiseHash;
 use sbc_obs::fault::{splitmix64, FaultPlan};
 use sbc_obs::json::JsonValue;
 use sbc_obs::trace::{self, CausalIds, TraceKind};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Ops per ingest batch: large enough to amortize precompute and the
@@ -670,6 +671,98 @@ pub struct InstanceSummary {
     pub psip: Vec<f64>,
     /// Realized level rates `φᵢ`.
     pub phi: Vec<f64>,
+}
+
+/// Decodes one store into its summary — the one decode behind both
+/// [`InstanceSummary`] export and the live emission walk, so the two
+/// agree bit for bit, FAIL texts included.
+fn decode_store(st: &Storing) -> Result<RoleLevelSummary, String> {
+    st.finish()
+        .map(|out| RoleLevelSummary {
+            cells: out.cells,
+            small_points: out.small_points,
+            beta: st.beta(),
+            alpha: st.alpha(),
+            dirty_small_cells: out.dirty_small_cells,
+        })
+        .map_err(|e| format!("{e:?}"))
+}
+
+/// A decoded store, borrowed from a summary or freshly decoded from a
+/// live store; `Err` carries the FAIL description.
+type Decoded<'a> = Result<Cow<'a, RoleLevelSummary>, String>;
+
+/// One `o` guess as the assembly walk reads it, a store at a time. A
+/// live [`OInstance`] decodes a store only when asked; an
+/// [`InstanceSummary`] (the Lemma 4.6 coordinator's input) lends what
+/// it already holds.
+trait Guess {
+    fn o(&self) -> f64;
+    /// Role h at store index `idx` (= level + 1).
+    fn h(&self, idx: usize) -> Decoded<'_>;
+    /// Role h′ at `level`.
+    fn hp(&self, level: usize) -> Decoded<'_>;
+    /// Role ĥ at `level`; `None` where `Tᵢ(o) ≤ 1`.
+    fn hhat(&self, level: usize) -> Option<Decoded<'_>>;
+    fn psi(&self, idx: usize) -> f64;
+    fn psip(&self, level: usize) -> f64;
+    fn phi(&self, level: usize) -> f64;
+}
+
+impl Guess for OInstance {
+    fn o(&self) -> f64 {
+        self.o
+    }
+    fn h(&self, idx: usize) -> Decoded<'_> {
+        decode_store(&self.h_stores[idx]).map(Cow::Owned)
+    }
+    fn hp(&self, level: usize) -> Decoded<'_> {
+        decode_store(&self.hp_stores[level]).map(Cow::Owned)
+    }
+    fn hhat(&self, level: usize) -> Option<Decoded<'_>> {
+        let st = self.hhat_stores[level].as_ref()?;
+        Some(decode_store(st).map(Cow::Owned))
+    }
+    fn psi(&self, idx: usize) -> f64 {
+        self.psi[idx]
+    }
+    fn psip(&self, level: usize) -> f64 {
+        self.psip[level]
+    }
+    fn phi(&self, level: usize) -> f64 {
+        self.phi[level]
+    }
+}
+
+impl Guess for InstanceSummary {
+    fn o(&self) -> f64 {
+        self.o
+    }
+    fn h(&self, idx: usize) -> Decoded<'_> {
+        self.h[idx]
+            .as_ref()
+            .map(Cow::Borrowed)
+            .map_err(Clone::clone)
+    }
+    fn hp(&self, level: usize) -> Decoded<'_> {
+        self.hp[level]
+            .as_ref()
+            .map(Cow::Borrowed)
+            .map_err(Clone::clone)
+    }
+    fn hhat(&self, level: usize) -> Option<Decoded<'_>> {
+        let s = self.hhat[level].as_ref()?;
+        Some(s.as_ref().map(Cow::Borrowed).map_err(Clone::clone))
+    }
+    fn psi(&self, idx: usize) -> f64 {
+        self.psi[idx]
+    }
+    fn psip(&self, level: usize) -> f64 {
+        self.psip[level]
+    }
+    fn phi(&self, level: usize) -> f64 {
+        self.phi[level]
+    }
 }
 
 /// Interned `stream.ingest.*` metric handles, resolved once per builder
@@ -1348,9 +1441,11 @@ impl StreamCoresetBuilder {
         }
     }
 
-    /// Exports the decoded per-instance summaries — the machine side of
-    /// the distributed protocol (Lemma 4.6), also used internally by
-    /// [`Self::finish`].
+    /// Exports the decoded per-instance summaries of every guess — the
+    /// machine side of the distributed protocol (Lemma 4.6), which
+    /// [`Self::finish_from_summaries`] assembles from. Local emission
+    /// ([`Self::finish`], [`Self::finish_ref`]) does not go through it:
+    /// it decodes only the guesses its ascending walk reaches.
     pub fn export_summaries(&self) -> Vec<InstanceSummary> {
         self.instances.iter().map(OInstance::summarize).collect()
     }
@@ -1524,24 +1619,30 @@ impl StreamCoresetBuilder {
         })
     }
 
-    /// Ends the pass: decodes instances in ascending `o` and returns the
-    /// coreset of the first fully workable guess.
-    pub fn finish(mut self) -> Result<Coreset, FailReason> {
-        let summaries = self.export_summaries();
-        self.instances.clear();
-        self.finish_from_summaries(&summaries)
+    /// Ends the pass: walks the live instances in ascending `o`, decoding
+    /// each guess only when the walk reaches it, and returns the coreset
+    /// of the first accepted one (Thm 4.5). Guesses above it are never
+    /// decoded.
+    pub fn finish(self) -> Result<Coreset, FailReason> {
+        self.finish_ref()
     }
 
     /// Ends the pass without consuming the builder: the stream can keep
     /// going afterwards (and the result can be emitted at checkpoints).
+    /// Decodes lazily, exactly as [`Self::finish`] does, and returns the
+    /// same coreset bit for bit as
+    /// `finish_from_summaries(&export_summaries())` would.
     ///
     /// Assembly draws from a *clone* of the builder's RNG that is not
     /// written back, so emitting a mid-stream coreset leaves the
     /// continued run bit-identical to one that never called this.
     pub fn finish_ref(&self) -> Result<Coreset, FailReason> {
-        let summaries = self.export_summaries();
         let mut rng = self.rng.clone();
-        self.assemble(&summaries, &mut rng)
+        let (out, reached) = self.assemble(&self.instances, &mut rng);
+        sbc_obs::counter!("stream.emit.guesses_decoded").add(reached as u64);
+        sbc_obs::counter!("stream.emit.guesses_skipped")
+            .add((self.instances.len() - reached) as u64);
+        out
     }
 
     /// Coordinator-side assembly: runs the ascending-`o` selection over
@@ -1553,21 +1654,24 @@ impl StreamCoresetBuilder {
         summaries: &[InstanceSummary],
     ) -> Result<Coreset, FailReason> {
         let mut rng = self.rng.clone();
-        let out = self.assemble(summaries, &mut rng);
+        let (out, _) = self.assemble(summaries, &mut rng);
         self.rng = rng;
         out
     }
 
-    /// Shared assembly core behind [`Self::finish_from_summaries`] and
-    /// [`Self::finish_ref`]; the caller owns the RNG-advance policy.
-    fn assemble(
+    /// The one assembly routine, behind [`Self::finish_ref`] (live
+    /// stores) and [`Self::finish_from_summaries`] (decoded summaries);
+    /// the caller owns the RNG-advance policy. Walks `guesses` in
+    /// ascending `o` and stops at the first accepted one; also returns
+    /// how many guesses the walk reached.
+    fn assemble<G: Guess>(
         &self,
-        summaries: &[InstanceSummary],
+        guesses: &[G],
         rng: &mut StdRng,
-    ) -> Result<Coreset, FailReason> {
+    ) -> (Result<Coreset, FailReason>, usize) {
         let mut last_err = FailReason::NoWorkableO;
         let mut fallback: Option<Coreset> = None;
-        for inst in summaries {
+        for (i, inst) in guesses.iter().enumerate() {
             match self.try_instance(inst) {
                 Ok(coreset) => {
                     if coreset.is_empty() {
@@ -1581,51 +1685,56 @@ impl StreamCoresetBuilder {
                     // a degenerate one-part partition. The first workable
                     // instance is kept as a fallback in case every guess
                     // sits below the window.
+                    let o = inst.o();
                     let (pts, ws) = coreset.split();
                     let est =
                         opt_upper_estimate(&pts, Some(&ws), self.params.k, self.params.r, rng)
                             .max(1.0);
-                    if inst.o > est * 64.0 && est > 1.0 {
+                    if o > est * 64.0 && est > 1.0 {
                         // Out the top of the window (skip this check for
                         // degenerate zero-cost data where est bottoms out).
                         if fallback.is_none() {
                             fallback = Some(coreset);
                         }
                         last_err = FailReason::Storage(format!(
-                            "o = {:.3e} far above estimated OPT {:.3e}",
-                            inst.o, est
+                            "o = {o:.3e} far above estimated OPT {est:.3e}"
                         ));
                         continue;
                     }
-                    if inst.o < est / 32.0 {
+                    if o < est / 32.0 {
                         if fallback.is_none() {
                             fallback = Some(coreset);
                         }
                         continue; // prefer a guess nearer OPT
                     }
-                    return Ok(coreset);
+                    return (Ok(coreset), i + 1);
                 }
                 Err(e) => last_err = e,
             }
         }
-        if let Some(cs) = fallback {
-            return Ok(cs);
-        }
-        Err(last_err)
+        let out = match fallback {
+            Some(cs) => Ok(cs),
+            None => Err(last_err),
+        };
+        (out, guesses.len())
     }
 
-    fn try_instance(&self, inst: &InstanceSummary) -> Result<Coreset, FailReason> {
+    /// Algorithms 3 → 1 → 2 on one guess. Roles are read only as the
+    /// algorithm reaches them: h first, h′ once the partition builds, ĥ
+    /// once the assembly context passes its FAIL checks.
+    fn try_instance<G: Guess>(&self, inst: &G) -> Result<Coreset, FailReason> {
         let l = self.params.l() as i32;
-        let storage = |role: &str, level: i32, e: &String| {
-            FailReason::Storage(format!("o={:.3e} {role} level {level}: {e}", inst.o))
+        let o = inst.o();
+        let storage = |role: &str, level: i32, e: String| {
+            FailReason::Storage(format!("o={o:.3e} {role} level {level}: {e}"))
         };
 
         // Role h → cell occupancy estimates (Algorithm 3 step 3).
         let mut counts = CellCounts::new(self.params.l());
         for idx in 0..=(l as usize) {
             let level = idx as i32 - 1;
-            let out = inst.h[idx].as_ref().map_err(|e| storage("h", level, e))?;
-            let psi = inst.psi[idx];
+            let out = inst.h(idx).map_err(|e| storage("h", level, e))?;
+            let psi = inst.psi(idx);
             for (cell, cnt) in &out.cells {
                 counts.set(cell.clone(), *cnt as f64 / psi);
             }
@@ -1633,7 +1742,7 @@ impl StreamCoresetBuilder {
 
         // Algorithm 1 on the estimates.
         let partition =
-            Partition::build(&counts, &self.params, inst.o).map_err(FailReason::Partition)?;
+            Partition::build(&counts, &self.params, o).map_err(FailReason::Partition)?;
         if let Some(sel) = self.params.selection_heavy_budget() {
             if partition.num_heavy() as f64 > sel {
                 return Err(FailReason::Partition(
@@ -1648,10 +1757,8 @@ impl StreamCoresetBuilder {
         // Role h′ → part masses (Algorithm 3 step 5).
         let mut hp_counts = CellCounts::new(self.params.l());
         for level in 0..=(l as usize) {
-            let out = inst.hp[level]
-                .as_ref()
-                .map_err(|e| storage("h'", level as i32, e))?;
-            let psip = inst.psip[level];
+            let out = inst.hp(level).map_err(|e| storage("h'", level as i32, e))?;
+            let psip = inst.psip(level);
             for (cell, cnt) in &out.cells {
                 hp_counts.set(cell.clone(), *cnt as f64 / psip);
             }
@@ -1659,7 +1766,7 @@ impl StreamCoresetBuilder {
         let pm = PartMasses::from_counts(&hp_counts, &partition);
 
         // Algorithm 2 checks + assembly context.
-        let ctx = CoresetBuilderCtx::new(&self.params, inst.o, partition, pm)?;
+        let ctx = CoresetBuilderCtx::new(&self.params, o, partition, pm)?;
 
         // Role ĥ → coreset samples with per-part nested sub-thresholds.
         let mut entries = Vec::new();
@@ -1667,20 +1774,17 @@ impl StreamCoresetBuilder {
             vec![std::collections::HashMap::new(); l as usize + 1];
         let mut level_phis = vec![0.0f64; l as usize + 1];
         for level in 0..=(l as usize) {
-            level_phis[level] = inst.phi[level];
-            let Some(summary) = &inst.hhat[level] else {
+            level_phis[level] = inst.phi(level);
+            let Some(summary) = inst.hhat(level) else {
                 continue; // Tᵢ(o) ≤ 1 ⇒ no non-empty crucial cells
             };
-            let out = summary
-                .as_ref()
-                .map_err(|e| storage("ĥ", level as i32, e))?;
+            let out = summary.map_err(|e| storage("ĥ", level as i32, e))?;
             // Coreset samples must be complete: a dirty small cell that
             // belongs to a kept part means lost samples — reject the
             // instance (conservatively, without checking part membership).
             if !out.dirty_small_cells.is_empty() {
                 return Err(FailReason::Storage(format!(
-                    "o={:.3e} ĥ level {level}: {} dirty small cells",
-                    inst.o,
+                    "o={o:.3e} ĥ level {level}: {} dirty small cells",
                     out.dirty_small_cells.len()
                 )));
             }
@@ -1965,25 +2069,14 @@ impl OInstance {
     }
 
     fn summarize(&self) -> InstanceSummary {
-        let to_summary = |st: &Storing| -> Result<RoleLevelSummary, String> {
-            st.finish()
-                .map(|out| RoleLevelSummary {
-                    cells: out.cells,
-                    small_points: out.small_points,
-                    beta: st.beta(),
-                    alpha: st.alpha(),
-                    dirty_small_cells: out.dirty_small_cells,
-                })
-                .map_err(|e| format!("{e:?}"))
-        };
         InstanceSummary {
             o: self.o,
-            h: self.h_stores.iter().map(to_summary).collect(),
-            hp: self.hp_stores.iter().map(to_summary).collect(),
+            h: self.h_stores.iter().map(decode_store).collect(),
+            hp: self.hp_stores.iter().map(decode_store).collect(),
             hhat: self
                 .hhat_stores
                 .iter()
-                .map(|s| s.as_ref().map(to_summary))
+                .map(|s| s.as_ref().map(decode_store))
                 .collect(),
             psi: self.psi.clone(),
             psip: self.psip.clone(),

@@ -1,10 +1,10 @@
 //! Instrumentation must be invisible to the computation: ingesting a
-//! stream with metrics recording enabled has to produce *bit-identical*
-//! results to the same ingest with recording disabled, on both the
-//! serial and the instance-sharded parallel path. And because counters
-//! tally the same logical events regardless of execution order, the
-//! parallel path's counter totals must merge to exactly the serial
-//! totals.
+//! stream and emitting its coreset with metrics recording enabled has
+//! to produce *bit-identical* results to the same run with recording
+//! disabled, on both the serial and the instance-sharded parallel
+//! path. And because counters tally the same logical events regardless
+//! of execution order, the parallel path's counter totals must merge to
+//! exactly the serial totals.
 //!
 //! The whole file runs with or without the `obs` cargo feature: with it
 //! off, `set_enabled` is a no-op and every snapshot is empty, so the
@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sbc_core::CoresetParams;
+use sbc_core::{Coreset, CoresetParams, FailReason};
 use sbc_geometry::dataset::gaussian_mixture;
 use sbc_geometry::GridParams;
 use sbc_streaming::model::{churn_stream, StreamOp};
@@ -32,9 +32,31 @@ fn params(log_delta: u32) -> CoresetParams {
         .unwrap()
 }
 
+/// An emitted coreset with weights as bit patterns, or its failure.
+type Emission = Result<(u64, Vec<(Vec<u32>, u64, i32, usize)>), FailReason>;
+
+fn emission(c: Result<Coreset, FailReason>) -> Emission {
+    c.map(|c| {
+        let entries = c
+            .entries()
+            .iter()
+            .map(|e| {
+                (
+                    e.point.coords().to_vec(),
+                    e.weight.to_bits(),
+                    e.level,
+                    e.part,
+                )
+            })
+            .collect();
+        (c.o.to_bits(), entries)
+    })
+}
+
 struct RunResult {
     net_count: i64,
     summaries: Vec<InstanceSummary>,
+    emission: Emission,
     space: SpaceReport,
     snapshot: sbc_obs::MetricsSnapshot,
 }
@@ -53,10 +75,12 @@ fn ingest(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = StreamCoresetBuilder::new(p.clone(), sp, &mut rng);
     b.process_all(ops);
+    let emission = emission(b.finish_ref());
     sbc_obs::set_enabled(false);
     RunResult {
         net_count: b.net_count(),
         summaries: b.export_summaries(),
+        emission,
         space: b.space_report(),
         snapshot: sbc_obs::snapshot(),
     }
@@ -108,12 +132,17 @@ fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
             "{label}: metrics changed decoded instance state"
         );
         assert_eq!(
+            with.emission, without.emission,
+            "{label}: metrics changed the emitted coreset"
+        );
+        assert_eq!(
             with.space, without.space,
             "{label}: metrics changed space accounting"
         );
     }
     // And parallel must still match serial (with recording on).
     assert_eq!(on_serial.summaries, on_parallel.summaries);
+    assert_eq!(on_serial.emission, on_parallel.emission);
     assert_eq!(on_serial.net_count, on_parallel.net_count);
     assert_eq!(on_serial.space, on_parallel.space);
 
@@ -149,6 +178,14 @@ fn assert_metrics_invisible(p: &CoresetParams, ops: &[StreamOp], seed: u64) {
             ops.len() as u64 - inserted
         );
         assert!(get("stream.store.updates") > 0);
+        // The one emission walked the ladder: every guess was either
+        // decoded or skipped above the accepted one.
+        let decoded = get("stream.emit.guesses_decoded");
+        assert!(decoded > 0);
+        assert_eq!(
+            decoded + get("stream.emit.guesses_skipped"),
+            on_serial.summaries.len() as u64
+        );
     }
 }
 
@@ -201,6 +238,8 @@ fn metrics_invisible_under_store_death() {
     let parallel = ingest(&p, par_sp, &ops, 41, true);
     assert_eq!(probe.summaries, serial.summaries);
     assert_eq!(probe.summaries, parallel.summaries);
+    assert_eq!(probe.emission, serial.emission);
+    assert_eq!(probe.emission, parallel.emission);
     assert_eq!(probe.space, serial.space);
     assert_eq!(probe.space, parallel.space);
     assert_eq!(
@@ -214,7 +253,7 @@ fn metrics_invisible_under_store_death() {
             .snapshot
             .counters
             .iter()
-            .filter(|(n, _)| n.starts_with("stream.store.killed_"))
+            .filter(|(n, _)| n.starts_with("stream.store.kill."))
             .map(|(_, v)| *v)
             .sum::<u64>();
         assert_eq!(killed, serial.space.dead_stores as u64);

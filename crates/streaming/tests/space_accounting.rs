@@ -201,7 +201,11 @@ fn tombstone_purge_shrinks_measured_footprint_and_survives_restore() {
     // peak high-water mark, which intentionally restarts.
     let bytes = b.checkpoint().expect("arena stores checkpoint").to_bytes();
     drop(b);
-    let snap = Snapshot::from_bytes(&bytes).expect("round-trips");
+    let mut snap = Snapshot::from_bytes(&bytes).expect("round-trips");
+    // The kernel is not serialized (a restore takes the host's
+    // default), so restore on the packed kernel the original ran, even
+    // under `SBC_FORCE_SCALAR`: the two backends account differently.
+    snap.sparams.kernel = Kernel::Simd;
     let restored = StreamCoresetBuilder::restore(&snap).expect("restores");
     let mut got = restored.space_report();
     assert!(
